@@ -64,6 +64,11 @@ struct ScaleRow {
   double serial_plus_s;
   double sharded_1t_s;
   double sharded_8t_s;
+
+  /// Pool scaling of the sharded engine against itself at one thread.
+  double speedup_vs_1t() const {
+    return sharded_1t_s / std::max(sharded_8t_s, 1e-9);
+  }
 };
 
 std::vector<ScaleRow> g_scale_rows;
@@ -192,7 +197,7 @@ void RunDbgenScale() {
                                   ? std::vector<size_t>{100000}
                                   : std::vector<size_t>{100000, 1000000};
   std::printf("%-9s | %10s %12s %12s %9s\n", "#tuples", "DIME+ 1T",
-              "sharded 1T", "sharded 8T", "speedup");
+              "sharded 1T", "sharded 8T", "8T vs 1T");
   bench::PrintRule();
   std::vector<PositiveRule> pos = DbgenPositiveRules();
   std::vector<NegativeRule> neg = DbgenNegativeRules();
@@ -229,7 +234,7 @@ void RunDbgenScale() {
     g_scale_rows.push_back(row);
     std::printf("%-9zu | %9.3fs %11.3fs %11.3fs %8.2fx\n", row.entities,
                 row.serial_plus_s, row.sharded_1t_s, row.sharded_8t_s,
-                row.serial_plus_s / std::max(row.sharded_8t_s, 1e-9));
+                row.speedup_vs_1t());
   }
 }
 
@@ -260,7 +265,7 @@ bool WriteJson(const std::string& path, const std::string& label) {
   }
   std::fprintf(f, "  ],\n");
   // Sharded-engine scale rows (empty unless the dbgen section ran).
-  // speedup_8t is honest: on a 1-core host it hovers near 1x, and the
+  // speedup_vs_1t is honest: on a 1-core host it hovers near 1x, and the
   // top-level host_cores field lets readers tell that apart from a
   // scaling regression.
   std::fprintf(f, "  \"scale_rows\": [\n");
@@ -269,9 +274,9 @@ bool WriteJson(const std::string& path, const std::string& label) {
     std::fprintf(f,
                  "    {\"dataset\": \"dbgen\", \"entities\": %zu, "
                  "\"dime_plus_s\": %.3f, \"sharded_1t_s\": %.3f, "
-                 "\"sharded_8t_s\": %.3f, \"speedup_8t\": %.2f}%s\n",
+                 "\"sharded_8t_s\": %.3f, \"speedup_vs_1t\": %.2f}%s\n",
                  r.entities, r.serial_plus_s, r.sharded_1t_s, r.sharded_8t_s,
-                 r.serial_plus_s / std::max(r.sharded_8t_s, 1e-9),
+                 r.speedup_vs_1t(),
                  i + 1 < g_scale_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -120,8 +120,9 @@ void RunPreset(Corpus corpus, const std::string& tmp_dir) {
   for (size_t i = 0; i < corpus.groups.size(); ++i) {
     std::string path = tmp_dir + "/" + corpus.dataset + "_" +
                        std::to_string(i) + ".tsv";
-    if (!SaveGroupTsv(corpus.groups[i], path)) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    Status saved = SaveGroup(corpus.groups[i], path);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "SaveGroup: %s\n", saved.ToString().c_str());
       std::exit(1);
     }
     tsv_paths.push_back(std::move(path));
@@ -146,8 +147,9 @@ void RunPreset(Corpus corpus, const std::string& tmp_dir) {
   row.tsv_ingest_prepare_s = BestOf(reps, [&] {
     for (const std::string& path : tsv_paths) {
       Group group;
-      if (!LoadGroupTsv(path, path, &group)) {
-        std::fprintf(stderr, "cannot load %s\n", path.c_str());
+      Status loaded = LoadGroup(path, path, &group);
+      if (!loaded.ok()) {
+        std::fprintf(stderr, "LoadGroup: %s\n", loaded.ToString().c_str());
         std::exit(1);
       }
       PreparedGroup pg = PrepareGroup(group, corpus.positive, corpus.negative,

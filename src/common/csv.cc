@@ -120,14 +120,6 @@ StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path) {
   return ParseDelimited(buf.str(), '\t');
 }
 
-bool ReadTsvFile(const std::string& path, std::vector<TsvRow>* rows) {
-  rows->clear();
-  StatusOr<std::vector<TsvRow>> read = ReadTsv(path);
-  if (!read.ok()) return false;
-  *rows = std::move(read).value();
-  return true;
-}
-
 std::vector<TsvRow> ParseTsv(const std::string& content) {
   return ParseDelimited(content, '\t');
 }
@@ -139,10 +131,6 @@ Status WriteTsv(const std::string& path, const std::vector<TsvRow>& rows) {
   out.flush();
   if (!out) return IoError(path + ": write failed");
   return OkStatus();
-}
-
-bool WriteTsvFile(const std::string& path, const std::vector<TsvRow>& rows) {
-  return WriteTsv(path, rows).ok();
 }
 
 std::string FormatTsv(const std::vector<TsvRow>& rows) {

@@ -17,10 +17,6 @@
 /// and LF inside a quoted cell are data, not structure — so quoted fields
 /// may span physical lines. FormatTsv/WriteTsv quote symmetrically, only
 /// when a cell needs it.
-///
-/// The Status APIs are the source of truth; the bool forms are thin shims
-/// kept for existing call sites and cannot distinguish a missing file from
-/// an IO error from an empty file.
 
 namespace dime {
 
@@ -32,10 +28,6 @@ using TsvRow = std::vector<std::string>;
 /// IO_ERROR. Failpoint: "io/read".
 StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path);
 
-/// Shim over ReadTsv: returns false (and leaves `rows` empty) on any
-/// non-OK status.
-bool ReadTsvFile(const std::string& path, std::vector<TsvRow>* rows);
-
 /// Parses TSV content from a string (used by tests and embedded fixtures).
 /// Handles CRLF line endings and a trailing line without '\n'; blank lines
 /// are skipped.
@@ -44,9 +36,6 @@ std::vector<TsvRow> ParseTsv(const std::string& content);
 /// Writes rows to a TSV file. NOT_FOUND when the file cannot be created,
 /// IO_ERROR when writing fails.
 Status WriteTsv(const std::string& path, const std::vector<TsvRow>& rows);
-
-/// Shim over WriteTsv. Returns false on IO error.
-bool WriteTsvFile(const std::string& path, const std::vector<TsvRow>& rows);
 
 /// Serializes rows into TSV text.
 std::string FormatTsv(const std::vector<TsvRow>& rows);

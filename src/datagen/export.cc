@@ -41,7 +41,7 @@ bool ExportBenchmarkSuite(const std::string& directory,
     Group page = GenerateScholarGroup(
         "Exported Owner " + std::to_string(i), gen);
     std::string path = scholar_dir + "/page_" + std::to_string(i) + ".tsv";
-    if (!SaveGroupTsv(page, path)) return false;
+    if (!SaveGroup(page, path).ok()) return false;
     local.scholar_groups.push_back(path);
   }
   local.scholar_rules = scholar_dir + "/rules.txt";
@@ -67,7 +67,7 @@ bool ExportBenchmarkSuite(const std::string& directory,
   for (size_t i = 0; i < corpus.size(); ++i) {
     std::string path = amazon_dir + "/" + corpus[i].name + "_" +
                        std::to_string(i) + ".tsv";
-    if (!SaveGroupTsv(corpus[i], path)) return false;
+    if (!SaveGroup(corpus[i], path).ok()) return false;
     local.amazon_groups.push_back(path);
   }
   local.amazon_rules = amazon_dir + "/rules.txt";

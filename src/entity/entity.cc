@@ -113,10 +113,6 @@ Status ParseGroupTsv(const std::string& tsv, std::string_view name,
   return OkStatus();
 }
 
-bool GroupFromTsv(const std::string& tsv, std::string_view name, Group* out) {
-  return ParseGroupTsv(tsv, name, out).ok();
-}
-
 Status SaveGroup(const Group& group, const std::string& path) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return NotFoundError(path + ": cannot create");
@@ -136,14 +132,6 @@ Status LoadGroup(const std::string& path, std::string_view name, Group* out) {
   buf << f.rdbuf();
   if (f.bad()) return IoError(path + ": read failed");
   return ParseGroupTsv(buf.str(), name, out);
-}
-
-bool SaveGroupTsv(const Group& group, const std::string& path) {
-  return SaveGroup(group, path).ok();
-}
-
-bool LoadGroupTsv(const std::string& path, std::string_view name, Group* out) {
-  return LoadGroup(path, name, out).ok();
 }
 
 }  // namespace dime

@@ -20,7 +20,7 @@
 //               [--threads N]  # engine pool size (default: DIME_THREADS
 //                              # env, then hardware concurrency)
 //               [--default-deadline-ms N]
-//               [--engine naive|plus|parallel|sharded]
+//               [--engine naive|plus|sharded]
 //               [--idle-timeout-ms N]
 //   live corpus (see DESIGN.md "Live corpus & epochs"):
 //               [--watch] [--watch-interval-ms N]  # poll --snapshot for a
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--engine") {
       EngineKind kind;
       if (!EngineKindFromName(next(), &kind)) {
-        return Usage("--engine must be naive, plus, parallel, or sharded");
+        return Usage("--engine must be naive, plus, or sharded");
       }
       options.default_engine = kind;
     } else if (arg == "--idle-timeout-ms") {

@@ -14,8 +14,8 @@
 #include "src/common/mutex.h"
 #include "src/common/status.h"
 #include "src/core/corpus.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
+#include "src/exec/engine.h"
 #include "src/exec/pool.h"
 #include "src/server/request_queue.h"
 #include "src/server/result_cache.h"
@@ -37,7 +37,7 @@
 ///         bounded queue  ── full ──> RESOURCE_EXHAUSTED (shed, never block)
 ///                 │ admitted
 ///                 v
-///         worker pool ──> PrepareGroup + Run{Dime,DimePlus,DimeParallel}
+///         worker pool ──> PrepareGroup + RunEngine (exec/engine.h)
 ///                 │          (per-request deadline via RunControl,
 ///                 │           anchored at ADMISSION so queue wait counts)
 ///                 v
@@ -61,13 +61,6 @@
 
 namespace dime {
 
-/// Which engine executes a check.
-enum class EngineKind { kNaive, kPlus, kParallel, kSharded };
-
-/// "naive" / "plus" / "parallel" / "sharded".
-const char* EngineKindName(EngineKind kind);
-bool EngineKindFromName(std::string_view name, EngineKind* kind);
-
 struct ServiceOptions {
   /// Worker threads executing engine runs. 0 is normalized to 1.
   unsigned num_workers = 4;
@@ -80,13 +73,12 @@ struct ServiceOptions {
   int64_t default_deadline_ms = 0;
   EngineKind default_engine = EngineKind::kPlus;
   DimePlusOptions dime_plus;
-  ParallelOptions parallel;
-  /// Executors of the shared scheduler pool the parallel and sharded
-  /// engines run on (one pool for the whole service — serving workers
-  /// spawn task groups into it and help execute while they wait, so
-  /// concurrent requests time-share the same threads instead of
-  /// oversubscribing). 0 = the --threads / DIME_THREADS /
-  /// hardware_concurrency precedence of exec::ResolveThreadCount.
+  /// Executors of the shared scheduler pool the sharded engine runs on
+  /// (one pool for the whole service — serving workers spawn task groups
+  /// into it and help execute while they wait, so concurrent requests
+  /// time-share the same threads instead of oversubscribing). 0 = the
+  /// --threads / DIME_THREADS / hardware_concurrency precedence of
+  /// exec::ResolveThreadCount.
   unsigned engine_threads = 0;
   /// Test-only: invoked by a worker before executing each admitted
   /// request. Lets tests hold the pool at a barrier to fill the queue

@@ -4,6 +4,8 @@
 
 #include <fstream>
 
+#include "tests/test_tmpdir.h"
+
 namespace dime {
 namespace {
 
@@ -27,18 +29,17 @@ TEST(TsvTest, FormatRoundTrip) {
 }
 
 TEST(TsvTest, FileRoundTrip) {
-  std::string path = testing::TempDir() + "/dime_tsv_test.tsv";
+  std::string path = TestTmpPath("dime_tsv_test.tsv");
   std::vector<TsvRow> rows{{"Title", "Authors"}, {"KATARA", "Chu|Tang"}};
-  ASSERT_TRUE(WriteTsvFile(path, rows));
-  std::vector<TsvRow> readback;
-  ASSERT_TRUE(ReadTsvFile(path, &readback));
-  EXPECT_EQ(readback, rows);
+  ASSERT_TRUE(WriteTsv(path, rows).ok());
+  StatusOr<std::vector<TsvRow>> readback = ReadTsv(path);
+  ASSERT_TRUE(readback.ok()) << readback.status().ToString();
+  EXPECT_EQ(*readback, rows);
 }
 
 TEST(TsvTest, ReadMissingFileFails) {
-  std::vector<TsvRow> rows;
-  EXPECT_FALSE(ReadTsvFile("/nonexistent/path/file.tsv", &rows));
-  EXPECT_TRUE(rows.empty());
+  StatusOr<std::vector<TsvRow>> rows = ReadTsv("/nonexistent/path/file.tsv");
+  EXPECT_EQ(rows.status().code(), StatusCode::kNotFound);
 }
 
 TEST(TsvTest, ParseCrlfLineEndings) {
@@ -60,8 +61,8 @@ TEST(TsvTest, ParseTrailingLineWithoutNewline) {
 
 TEST(TsvTest, ReadTsvDistinguishesEmptyFromMissing) {
   // Empty file: OK with zero rows.
-  std::string path = testing::TempDir() + "/dime_tsv_empty.tsv";
-  ASSERT_TRUE(WriteTsvFile(path, {}));
+  std::string path = TestTmpPath("dime_tsv_empty.tsv");
+  ASSERT_TRUE(WriteTsv(path, {}).ok());
   StatusOr<std::vector<TsvRow>> empty = ReadTsv(path);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
@@ -73,16 +74,8 @@ TEST(TsvTest, ReadTsvDistinguishesEmptyFromMissing) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
 }
 
-TEST(TsvTest, ReadTsvFileShimTreatsEmptyAsSuccess) {
-  std::string path = testing::TempDir() + "/dime_tsv_empty2.tsv";
-  ASSERT_TRUE(WriteTsvFile(path, {}));
-  std::vector<TsvRow> rows{{"stale"}};
-  EXPECT_TRUE(ReadTsvFile(path, &rows));
-  EXPECT_TRUE(rows.empty());
-}
-
 TEST(TsvTest, ReadTsvHandlesCrlfFiles) {
-  std::string path = testing::TempDir() + "/dime_tsv_crlf.tsv";
+  std::string path = TestTmpPath("dime_tsv_crlf.tsv");
   {
     std::ofstream out(path, std::ios::binary);
     out << "a\tb\r\nc\td";  // CRLF + trailing line without newline
@@ -149,14 +142,14 @@ TEST(TsvTest, FormatQuotesOnlyWhenNeeded) {
 }
 
 TEST(TsvTest, QuotedRoundTripThroughFile) {
-  std::string path = testing::TempDir() + "/dime_tsv_quoted.tsv";
+  std::string path = TestTmpPath("dime_tsv_quoted.tsv");
   std::vector<TsvRow> rows{{"Title", "Notes"},
                            {"KATARA", "tab\there and\nnewline"},
                            {"Next", "plain"}};
-  ASSERT_TRUE(WriteTsvFile(path, rows));
-  std::vector<TsvRow> readback;
-  ASSERT_TRUE(ReadTsvFile(path, &readback));
-  EXPECT_EQ(readback, rows);
+  ASSERT_TRUE(WriteTsv(path, rows).ok());
+  StatusOr<std::vector<TsvRow>> readback = ReadTsv(path);
+  ASSERT_TRUE(readback.ok()) << readback.status().ToString();
+  EXPECT_EQ(*readback, rows);
 }
 
 TEST(TsvTest, CrlfInsideQuotedFieldIsLiteralData) {

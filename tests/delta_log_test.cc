@@ -20,13 +20,10 @@
 #include "src/core/dime_plus.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
-
-std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -66,7 +63,7 @@ std::vector<DeltaRecord> SampleRecords() {
 }
 
 std::string WriteSampleLog(const std::string& name) {
-  std::string path = TestPath(name);
+  std::string path = TestTmpPath(name);
   std::remove(path.c_str());
   StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
   EXPECT_TRUE(writer.ok()) << writer.status().ToString();
@@ -106,7 +103,7 @@ TEST(DeltaLogTest, ReopenAppendsAfterValidatingHeader) {
   EXPECT_EQ(contents->records.size(), 4u);
 
   // A file that is not a delta log refuses the append outright.
-  std::string bogus = TestPath("delta_bogus.dlt");
+  std::string bogus = TestTmpPath("delta_bogus.dlt");
   WriteFileBytes(bogus, "this is not a delta log at all............");
   StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(bogus);
   ASSERT_FALSE(writer.ok());
@@ -114,7 +111,7 @@ TEST(DeltaLogTest, ReopenAppendsAfterValidatingHeader) {
 }
 
 TEST(DeltaLogTest, WriterSurvivesRotationByReopeningAFreshLog) {
-  std::string path = TestPath("delta_rotated.dlt");
+  std::string path = TestTmpPath("delta_rotated.dlt");
   std::remove(path.c_str());
   std::string rotated = path + ".applied.2";
   std::remove(rotated.c_str());
@@ -146,7 +143,7 @@ TEST(DeltaLogTest, WriterSurvivesRotationByReopeningAFreshLog) {
 }
 
 TEST(DeltaLogTest, LockHoldsOffAppendsAndRotatesAside) {
-  std::string path = TestPath("delta_locked.dlt");
+  std::string path = TestTmpPath("delta_locked.dlt");
   std::remove(path.c_str());
   std::string rotated = path + ".applied.9";
   std::remove(rotated.c_str());
@@ -182,7 +179,7 @@ TEST(DeltaLogTest, LockHoldsOffAppendsAndRotatesAside) {
 
 TEST(DeltaLogTest, MissingFileIsNotFound) {
   StatusOr<DeltaLogContents> contents =
-      ReadDeltaLog(TestPath("no_such_delta.dlt"));
+      ReadDeltaLog(TestTmpPath("no_such_delta.dlt"));
   ASSERT_FALSE(contents.ok());
   EXPECT_EQ(contents.status().code(), StatusCode::kNotFound);
 }
@@ -192,7 +189,7 @@ TEST(DeltaLogTest, TornTailDropsOnlyTheFinalRecord) {
   std::string bytes = ReadFileBytes(path);
   // Cut into the last record's payload (well past its 8-byte frame
   // header) — the classic crash-mid-append shape.
-  std::string torn_path = TestPath("delta_torn_cut.dlt");
+  std::string torn_path = TestTmpPath("delta_torn_cut.dlt");
   WriteFileBytes(torn_path, bytes.substr(0, bytes.size() - 3));
   StatusOr<DeltaLogContents> contents = ReadDeltaLog(torn_path);
   ASSERT_TRUE(contents.ok()) << contents.status().ToString();
@@ -251,7 +248,7 @@ TEST(DeltaLogTest, MidStreamByteFlipInEveryFieldIsRefused) {
     ASSERT_LT(field.offset, corrupt.size()) << field.name;
     corrupt[field.offset] =
         static_cast<char>(corrupt[field.offset] ^ 0x5A);
-    std::string corrupt_path = TestPath("delta_matrix_flip.dlt");
+    std::string corrupt_path = TestTmpPath("delta_matrix_flip.dlt");
     WriteFileBytes(corrupt_path, corrupt);
     StatusOr<DeltaLogContents> contents = ReadDeltaLog(corrupt_path);
     if (contents.ok()) {

@@ -6,12 +6,13 @@
 #include "src/datagen/presets.h"
 #include "src/ontology/ontology.h"
 #include "src/rules/rule_io.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
 
 TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
-  std::string dir = testing::TempDir() + "/dime_export_test";
+  std::string dir = TestTmpPath("dime_export_test");
   ExportOptions options;
   options.scholar_pages = 2;
   options.scholar_pubs = 40;
@@ -24,7 +25,7 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
 
   // Groups reload with ground truth intact.
   Group page;
-  ASSERT_TRUE(LoadGroupTsv(manifest.scholar_groups[0], "page0", &page));
+  ASSERT_TRUE(LoadGroup(manifest.scholar_groups[0], "page0", &page).ok());
   EXPECT_GT(page.size(), 40u);
   EXPECT_TRUE(page.has_truth());
   EXPECT_FALSE(page.TrueErrorIndices().empty());
@@ -56,7 +57,7 @@ TEST(ExportTest, SuiteRoundTripsThroughTheCodecs) {
 }
 
 TEST(ExportTest, AmazonArtifactsRunFromDisk) {
-  std::string dir = testing::TempDir() + "/dime_export_amazon";
+  std::string dir = TestTmpPath("dime_export_amazon");
   ExportOptions options;
   options.scholar_pages = 1;
   options.scholar_pubs = 20;
@@ -66,7 +67,7 @@ TEST(ExportTest, AmazonArtifactsRunFromDisk) {
   ASSERT_TRUE(ExportBenchmarkSuite(dir, options, &manifest));
 
   Group category;
-  ASSERT_TRUE(LoadGroupTsv(manifest.amazon_groups[0], "cat", &category));
+  ASSERT_TRUE(LoadGroup(manifest.amazon_groups[0], "cat", &category).ok());
   std::vector<PositiveRule> positive;
   std::vector<NegativeRule> negative;
   ASSERT_TRUE(LoadRuleSet(manifest.amazon_rules, category.schema, &positive,

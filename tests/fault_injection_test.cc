@@ -15,9 +15,10 @@
 
 #include "src/common/csv.h"
 #include "src/core/dime.h"
-#include "src/core/dime_parallel.h"
 #include "src/core/dime_plus.h"
 #include "src/entity/entity.h"
+#include "src/exec/sharded_dime.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -69,10 +70,6 @@ TEST_F(FaultInjectionTest, ScopedFailpointDisarmsOnExit) {
 // IO failure injection: an injected read failure must surface as IO_ERROR,
 // distinct from NOT_FOUND (missing file) and PARSE_ERROR (malformed data).
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
@@ -80,7 +77,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 }
 
 TEST_F(FaultInjectionTest, InjectedReadFailureIsIoError) {
-  const std::string path = TempPath("fi_read.tsv");
+  const std::string path = TestTmpPath("fi_read.tsv");
   WriteFile(path, "a\tb\nc\td\n");
 
   {
@@ -96,7 +93,7 @@ TEST_F(FaultInjectionTest, InjectedReadFailureIsIoError) {
 }
 
 TEST_F(FaultInjectionTest, IoErrorDistinctFromNotFoundAndParseError) {
-  const std::string good = TempPath("fi_group.tsv");
+  const std::string good = TestTmpPath("fi_group.tsv");
   Group g;
   g.name = "g";
   g.schema = Schema({"Authors"});
@@ -108,17 +105,17 @@ TEST_F(FaultInjectionTest, IoErrorDistinctFromNotFoundAndParseError) {
 
   // Missing file: NOT_FOUND.
   Group out;
-  Status missing = LoadGroup(TempPath("fi_missing.tsv"), "g", &out);
+  Status missing = LoadGroup(TestTmpPath("fi_missing.tsv"), "g", &out);
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
 
   // Malformed header: PARSE_ERROR.
-  const std::string bad = TempPath("fi_bad.tsv");
+  const std::string bad = TestTmpPath("fi_bad.tsv");
   WriteFile(bad, "foo\tbar\nx\ty\n");
   Status parse = LoadGroup(bad, "g", &out);
   EXPECT_EQ(parse.code(), StatusCode::kParseError);
 
   // Wrong row width: SCHEMA_MISMATCH.
-  const std::string skew = TempPath("fi_skew.tsv");
+  const std::string skew = TestTmpPath("fi_skew.tsv");
   WriteFile(skew, "_id\tAuthors\ne0\ta\textra\n");
   Status schema = LoadGroup(skew, "g", &out);
   EXPECT_EQ(schema.code(), StatusCode::kSchemaMismatch);
@@ -201,14 +198,15 @@ TEST_F(FaultInjectionTest, WorkerFaultFallsBackToSerialBitIdentical) {
   std::vector<NegativeRule> negative = OverlapNegative({0, 1});
   PreparedGroup pg = PrepareGroup(g, positive, negative, {});
 
-  DimeResult serial = RunDime(pg, positive, negative);
+  DimeResult serial = RunDimePlus(pg, positive, negative);
   ASSERT_TRUE(serial.ok());
 
   ScopedFailpoint fp(failpoints::kParallelWorkerFault);
-  ParallelOptions options;
+  exec::ShardedOptions options;
   options.num_threads = 2;
   options.serial_fallback = true;
-  DimeResult parallel = RunDimeParallel(pg, positive, negative, options);
+  DimeResult parallel =
+      exec::RunDimePlusSharded(pg, positive, negative, options);
 
   EXPECT_TRUE(parallel.ok());
   EXPECT_EQ(parallel.partitions, serial.partitions);
@@ -224,10 +222,10 @@ TEST_F(FaultInjectionTest, WorkerFaultWithoutFallbackIsInternal) {
   PreparedGroup pg = PrepareGroup(g, positive, negative, {});
 
   ScopedFailpoint fp(failpoints::kParallelWorkerFault);
-  ParallelOptions options;
+  exec::ShardedOptions options;
   options.num_threads = 2;
   options.serial_fallback = false;
-  DimeResult r = RunDimeParallel(pg, positive, negative, options);
+  DimeResult r = exec::RunDimePlusSharded(pg, positive, negative, options);
 
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kInternal);
@@ -322,10 +320,10 @@ TEST_F(FaultInjectionTest, DeadlinePressureTruncatesParallel) {
   DimeResult full = RunDime(pg, positive, negative);
   ASSERT_TRUE(full.ok());
 
-  ParallelOptions options;
+  exec::ShardedOptions options;
   options.num_threads = 2;
   ScopedFailpoint fp(failpoints::kEngineDeadline, /*count=*/1000);
-  DimeResult r = RunDimeParallel(pg, positive, negative, options);
+  DimeResult r = exec::RunDimePlusSharded(pg, positive, negative, options);
   EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
   ASSERT_EQ(r.flagged_by_prefix.size(), full.flagged_by_prefix.size());
   for (size_t k = 0; k < full.flagged_by_prefix.size(); ++k) {

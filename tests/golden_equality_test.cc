@@ -34,6 +34,7 @@
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/store/snapshot.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -222,7 +223,7 @@ TEST(GoldenEqualityTest, SnapshotRoundTripScholar2999) {
   pins.plus_pairs_skipped_by_transitivity = 10939522;
   ExpectSnapshotRoundTripIdentity(
       groups, setup.positive, setup.negative, setup.context,
-      testing::TempDir() + "/golden_scholar2999.snap", &pins);
+      TestTmpPath("golden_scholar2999.snap"), &pins);
 }
 
 TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
@@ -247,7 +248,7 @@ TEST(GoldenEqualityTest, SnapshotRoundTripAmazon10000) {
   pins.plus_pairs_skipped_by_transitivity = 42133;
   ExpectSnapshotRoundTripIdentity(
       groups, setup.positive, setup.negative, setup.context,
-      testing::TempDir() + "/golden_amazon10000.snap", &pins);
+      TestTmpPath("golden_amazon10000.snap"), &pins);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "src/common/random.h"
 #include "src/ontology/builtin.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -168,7 +169,7 @@ TEST(OntologyTest, FromTextRejectsMalformedInput) {
 
 TEST(OntologyTest, FileRoundTrip) {
   Ontology original = BuildFig4Ontology();
-  std::string path = testing::TempDir() + "/dime_ontology_test.txt";
+  std::string path = TestTmpPath("dime_ontology_test.txt");
   ASSERT_TRUE(original.SaveToFile(path));
   Ontology loaded;
   ASSERT_TRUE(Ontology::LoadFromFile(path, &loaded));

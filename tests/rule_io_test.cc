@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/datagen/presets.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -66,7 +67,7 @@ TEST(RuleIoTest, ReportsErrorsWithLineNumbers) {
 
 TEST(RuleIoTest, FileRoundTrip) {
   ScholarSetup setup = MakeScholarSetup();
-  std::string path = testing::TempDir() + "/dime_rules_test.txt";
+  std::string path = TestTmpPath("dime_rules_test.txt");
   ASSERT_TRUE(
       SaveRuleSet(path, setup.schema, setup.positive, setup.negative));
   std::vector<PositiveRule> positive;

@@ -14,6 +14,7 @@
 #include "src/common/mutex.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -219,7 +220,7 @@ TEST(DimeServiceTest, FingerprintSeparatesEnginesAndTracksContent) {
 
 TEST(DimeServiceTest, SnapshotWarmStartServesIdenticalResults) {
   ServingCorpus tsv = MakeTestCorpus();
-  const std::string path = ::testing::TempDir() + "/service_corpus.snap";
+  const std::string path = TestTmpPath("service_corpus.snap");
   SnapshotWriteRequest request;
   request.groups = &tsv.groups;
   request.positive = &tsv.positive;
@@ -250,7 +251,7 @@ TEST(DimeServiceTest, SnapshotWarmStartServesIdenticalResults) {
 
 TEST(DimeServiceTest, SnapshotFingerprintFoldsIntoCacheKeys) {
   ServingCorpus tsv = MakeTestCorpus();
-  const std::string path = ::testing::TempDir() + "/service_fp.snap";
+  const std::string path = TestTmpPath("service_fp.snap");
   SnapshotWriteRequest request;
   request.groups = &tsv.groups;
   request.positive = &tsv.positive;
@@ -517,7 +518,7 @@ TEST(LiveCorpusTest, InstallCorpusSwapsEpochAndCacheCannotServeStale) {
 
 TEST(LiveCorpusTest, ReloadFromSnapshotSwapsToAPreparedEpoch) {
   ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
-  const std::string path = ::testing::TempDir() + "/live_reload.snap";
+  const std::string path = TestTmpPath("live_reload.snap");
   SnapshotWriteRequest write;
   write.groups = &on_disk.groups;
   write.positive = &on_disk.positive;
@@ -567,7 +568,7 @@ TEST(LiveCorpusTest, FingerprintWireHexRoundTrips) {
 
 TEST(LiveCorpusTest, FingerprintGatedReloadNoopsWhenAlreadyServing) {
   ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
-  const std::string path = ::testing::TempDir() + "/gated_noop.snap";
+  const std::string path = TestTmpPath("gated_noop.snap");
   SnapshotWriteRequest write;
   write.groups = &on_disk.groups;
   write.positive = &on_disk.positive;
@@ -597,7 +598,7 @@ TEST(LiveCorpusTest, FingerprintGatedReloadNoopsWhenAlreadyServing) {
 
 TEST(LiveCorpusTest, FingerprintGatedReloadRejectsAMismatchedSnapshot) {
   ServingCorpus on_disk = MakeTestCorpus(/*pages=*/1);
-  const std::string path = ::testing::TempDir() + "/gated_mismatch.snap";
+  const std::string path = TestTmpPath("gated_mismatch.snap");
   SnapshotWriteRequest write;
   write.groups = &on_disk.groups;
   write.positive = &on_disk.positive;
@@ -639,7 +640,7 @@ TEST(LiveCorpusTest, ApplyDeltaLogMergesAndServesMergedCorpus) {
   remove.group = "page_0";
   remove.entity_id = page.entities[1].id;
 
-  const std::string path = ::testing::TempDir() + "/live_merge.dlog";
+  const std::string path = TestTmpPath("live_merge.dlog");
   std::remove(path.c_str());
   {
     StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
@@ -679,7 +680,7 @@ TEST(LiveCorpusTest, DeltaNamingUnknownGroupIsRefusedWholly) {
   stray.op = DeltaRecord::Op::kRemove;
   stray.group = "no_such_page";
   stray.entity_id = "whatever";
-  const std::string path = ::testing::TempDir() + "/live_stray.dlog";
+  const std::string path = TestTmpPath("live_stray.dlog");
   std::remove(path.c_str());
   {
     StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
@@ -703,7 +704,7 @@ TEST(LiveCorpusTest, CorruptDeltaLogDegradesToLastGoodEpoch) {
   add.group = "page_0";
   add.entity_id = "never_lands";
   add.values = corpus.groups[0].entities[0].values;
-  const std::string path = ::testing::TempDir() + "/live_corrupt.dlog";
+  const std::string path = TestTmpPath("live_corrupt.dlog");
   std::remove(path.c_str());
   {
     StatusOr<DeltaLogWriter> writer = DeltaLogWriter::Open(path);
@@ -743,7 +744,7 @@ TEST(LiveCorpusTest, RotatingMergeMovesTheAppliedLogAside) {
   add.entity_id = "rotated_in";
   add.values = corpus.groups[0].entities[0].values;
 
-  const std::string path = ::testing::TempDir() + "/live_rotate.dlog";
+  const std::string path = TestTmpPath("live_rotate.dlog");
   const std::string rotated = path + ".applied.2";
   std::remove(path.c_str());
   std::remove(rotated.c_str());
@@ -774,7 +775,7 @@ TEST(LiveCorpusTest, RotatingMergeRetriesWhenAProducerAppendsMidMerge) {
   ServingCorpus corpus = MakeTestCorpus(/*pages=*/1);
   const std::vector<AttributeValue> values = corpus.groups[0].entities[0].values;
 
-  const std::string path = ::testing::TempDir() + "/live_race.dlog";
+  const std::string path = TestTmpPath("live_race.dlog");
   const std::string rotated = path + ".applied.2";
   std::remove(path.c_str());
   std::remove(rotated.c_str());

@@ -81,6 +81,13 @@ struct RuleCase {
   bool positive;
 };
 
+// Without this, gtest prints a RuleCase as a byte dump that includes the
+// string's heap pointer, and the test names that CTest derives from that
+// dump change from one build to the next.
+void PrintTo(const RuleCase& rule_case, std::ostream* os) {
+  *os << rule_case.text;
+}
+
 class SignatureCompletenessTest : public ::testing::TestWithParam<RuleCase> {};
 
 /// Positive rules: a satisfying pair must share a rule signature.

@@ -20,6 +20,7 @@
 #include "src/datagen/scholar_gen.h"
 #include "src/store/mapped_file.h"
 #include "src/store/snapshot_format.h"
+#include "tests/test_tmpdir.h"
 
 namespace dime {
 namespace {
@@ -55,20 +56,10 @@ TestCorpus MakeTestCorpus(uint64_t seed = 77, size_t pages = 2) {
   return corpus;
 }
 
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 class SnapshotTest : public ::testing::Test {
@@ -78,7 +69,7 @@ class SnapshotTest : public ::testing::Test {
 
 TEST_F(SnapshotTest, RoundTripRunsIdentically) {
   TestCorpus corpus = MakeTestCorpus();
-  const std::string path = TempPath("roundtrip.snap");
+  const std::string path = TestTmpPath("roundtrip.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
 
   StatusOr<LoadedSnapshot> loaded = LoadSnapshot(path);
@@ -114,7 +105,7 @@ TEST_F(SnapshotTest, RoundTripRunsIdentically) {
 
 TEST_F(SnapshotTest, ReadFallbackMatchesMmap) {
   TestCorpus corpus = MakeTestCorpus();
-  const std::string path = TempPath("fallback.snap");
+  const std::string path = TestTmpPath("fallback.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
 
   StatusOr<LoadedSnapshot> mapped = LoadSnapshot(path);
@@ -138,7 +129,7 @@ TEST_F(SnapshotTest, ReadFallbackMatchesMmap) {
 
 TEST_F(SnapshotTest, PreferMmapFalseUsesFallback) {
   TestCorpus corpus = MakeTestCorpus(5, 1);
-  const std::string path = TempPath("nommap.snap");
+  const std::string path = TestTmpPath("nommap.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
   SnapshotLoadOptions options;
   options.prefer_mmap = false;
@@ -149,7 +140,7 @@ TEST_F(SnapshotTest, PreferMmapFalseUsesFallback) {
 
 TEST_F(SnapshotTest, DictionariesRestoreOnRequest) {
   TestCorpus corpus = MakeTestCorpus(9, 1);
-  const std::string path = TempPath("dicts.snap");
+  const std::string path = TestTmpPath("dicts.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
 
   // Default load skips them; opting in restores tokens, ids AND ranks.
@@ -180,7 +171,7 @@ TEST_F(SnapshotTest, DictionariesRestoreOnRequest) {
 
 TEST_F(SnapshotTest, InspectReportsEnvelope) {
   TestCorpus corpus = MakeTestCorpus(3, 2);
-  const std::string path = TempPath("inspect.snap");
+  const std::string path = TestTmpPath("inspect.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
   StatusOr<SnapshotInfo> info = InspectSnapshot(path);
   ASSERT_TRUE(info.ok());
@@ -204,7 +195,7 @@ TEST_F(SnapshotTest, InspectReportsEnvelope) {
 
 TEST_F(SnapshotTest, VerifyShallowAndDeepPass) {
   TestCorpus corpus = MakeTestCorpus(11, 1);
-  const std::string path = TempPath("verify.snap");
+  const std::string path = TestTmpPath("verify.snap");
   ASSERT_TRUE(WriteSnapshot(corpus.Request(), path).ok());
   EXPECT_TRUE(VerifySnapshot(path).ok());
   Status deep = VerifySnapshot(path, /*deep=*/true);
@@ -237,7 +228,7 @@ TEST_F(SnapshotTest, SerializeValidatesRequest) {
 }
 
 TEST_F(SnapshotTest, MissingFileIsNotFound) {
-  EXPECT_EQ(LoadSnapshot(TempPath("does_not_exist.snap")).status().code(),
+  EXPECT_EQ(LoadSnapshot(TestTmpPath("does_not_exist.snap")).status().code(),
             StatusCode::kNotFound);
 }
 
@@ -252,7 +243,7 @@ class SnapshotCorruptionTest : public SnapshotTest {
     StatusOr<std::string> serialized = SerializeSnapshot(corpus.Request());
     ASSERT_TRUE(serialized.ok());
     image_ = std::move(serialized).value();
-    path_ = TempPath("corrupt.snap");
+    path_ = TestTmpPath("corrupt.snap");
     WriteFile(path_, image_);
     StatusOr<SnapshotInfo> info = InspectSnapshot(path_);
     ASSERT_TRUE(info.ok());
@@ -261,7 +252,7 @@ class SnapshotCorruptionTest : public SnapshotTest {
 
   /// Writes `bytes` to a scratch path and returns LoadSnapshot's status.
   Status LoadStatusOf(const std::string& bytes) {
-    const std::string path = TempPath("corrupt_variant.snap");
+    const std::string path = TestTmpPath("corrupt_variant.snap");
     WriteFile(path, bytes);
     return LoadSnapshot(path).status();
   }
@@ -333,14 +324,14 @@ TEST_F(SnapshotCorruptionTest, InspectIgnoresPayloadDamage) {
   std::string flipped = image_;
   const SnapshotInfo::Section& sec = info_.sections.back();
   flipped[sec.offset + sec.length / 2] ^= 0x10;
-  const std::string path = TempPath("inspect_damage.snap");
+  const std::string path = TestTmpPath("inspect_damage.snap");
   WriteFile(path, flipped);
   EXPECT_TRUE(InspectSnapshot(path).ok());
   EXPECT_EQ(VerifySnapshot(path).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(SnapshotTest, MappedFileRoundTripsBytes) {
-  const std::string path = TempPath("mapped_file.bin");
+  const std::string path = TestTmpPath("mapped_file.bin");
   const std::string payload = "eight..\x01\x02\x03zzz";
   WriteFile(path, payload);
   StatusOr<MappedFile> mapped = MappedFile::Open(path);

@@ -106,6 +106,15 @@ TEST_F(DispatchTest, BadEngineNameIsInvalidArgument) {
   EXPECT_EQ(response.at("status").string_value, "INVALID_ARGUMENT");
 }
 
+TEST_F(DispatchTest, RetiredParallelEngineIsUnknown) {
+  JsonObject response = MustParse(server_.Dispatch(
+      R"({"type":"check","group":"page_0","engine":"parallel"})"));
+  EXPECT_EQ(response.at("status").string_value, "INVALID_ARGUMENT");
+  EXPECT_NE(response.at("error").string_value.find("unknown engine"),
+            std::string::npos)
+      << response.at("error").string_value;
+}
+
 TEST_F(DispatchTest, MalformedLineIsParseError) {
   JsonObject response = MustParse(server_.Dispatch("this is not json"));
   EXPECT_EQ(response.at("status").string_value, "PARSE_ERROR");

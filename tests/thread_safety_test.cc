@@ -12,7 +12,6 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/core/corpus.h"
-#include "src/core/dime_parallel.h"
 #include "src/datagen/presets.h"
 #include "src/datagen/scholar_gen.h"
 #include "src/exec/sharded_dime.h"
@@ -20,7 +19,7 @@
 #include "src/index/union_find.h"
 
 /// \file thread_safety_test.cc
-/// Concurrency stress for the parallel engines: RunDimeParallel and
+/// Concurrency stress for the parallel engines: RunDimePlusSharded and
 /// RunCorpus hammered while another thread arms/disarms failpoints,
 /// expires deadlines, and flips cancellation tokens. The assertions are
 /// the engine output contract (status coded, flagged ⊆ group, scrollbar
@@ -73,56 +72,6 @@ class ThreadSafetyTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjection::DisarmAll(); }
 };
-
-TEST_F(ThreadSafetyTest, ParallelEngineUnderFailpointAndDeadlineChurn) {
-  ScholarSetup setup = MakeScholarSetup();
-  ScholarGenOptions gen;
-  gen.num_correct = 40;
-  gen.seed = 77;
-  Group group = GenerateScholarGroup("Chaos Owner", gen);
-  PreparedGroup pg =
-      PrepareGroup(group, setup.positive, setup.negative, setup.context);
-
-  std::atomic<bool> done{false};
-  // Chaos thread: continuously re-arms worker faults and injected
-  // deadline pressure with varying skip counts, so expiry lands in step 1
-  // on some iterations and step 3 on others, racing engine fan-outs.
-  std::thread chaos([&]() {
-    int round = 0;
-    while (!done.load(std::memory_order_relaxed)) {
-      FaultInjection::Arm(failpoints::kParallelWorkerFault, /*count=*/1,
-                          /*skip=*/round % 5);
-      FaultInjection::Arm(failpoints::kEngineDeadline, /*count=*/1,
-                          /*skip=*/(round * 3) % 17);
-      std::this_thread::yield();
-      FaultInjection::Disarm(failpoints::kParallelWorkerFault);
-      FaultInjection::Disarm(failpoints::kEngineDeadline);
-      ++round;
-    }
-  });
-
-  for (int iter = 0; iter < 150; ++iter) {
-    ParallelOptions options;
-    options.num_threads = 4;
-    options.serial_fallback = (iter % 2 == 0);
-    CancellationToken token;
-    RunControl control;
-    control.cancel = &token;
-    if (iter % 3 == 0) {
-      control.deadline = Deadline::AfterMillis(iter % 2);
-    }
-    std::thread canceller;
-    if (iter % 4 == 0) {
-      canceller = std::thread([&token]() { token.Cancel(); });
-    }
-    DimeResult r = RunDimeParallel(pg, setup.positive, setup.negative,
-                                   options, control);
-    if (canceller.joinable()) canceller.join();
-    ExpectResultContract(r, pg.size(), setup.negative.size());
-  }
-  done.store(true, std::memory_order_relaxed);
-  chaos.join();
-}
 
 TEST_F(ThreadSafetyTest, CorpusUnderConcurrentCancellationAndFaults) {
   ScholarSetup setup = MakeScholarSetup();
@@ -262,8 +211,7 @@ TEST_F(ThreadSafetyTest, StripedUnionFindConcurrentUnionsMatchSerial) {
 }
 
 TEST_F(ThreadSafetyTest, ShardedEngineUnderFailpointAndDeadlineChurn) {
-  // The sharded DIME+ path under the same chaos the parallel engine
-  // endures: worker faults, deadline pressure, mid-flight cancellation,
+  // The sharded DIME+ path under chaos: worker faults, deadline pressure, mid-flight cancellation,
   // and a shared borrowed pool — the serving topology. The output
   // contract must hold for every interleaving.
   ScholarSetup setup = MakeScholarSetup();

@@ -29,6 +29,11 @@
 //                       TU (src/sim/simd_dispatch.*) — SIMD stays behind
 //                       the sim layer's dispatch seam so the scalar-twin
 //                       contract and DIME_FORCE_SCALAR keep holding
+//   test-fixed-tmp-path `TempDir() + "literal"` under tests/: every TEST
+//                       is its own process and `ctest -j` runs them
+//                       concurrently, so a fixed scratch name is shared
+//                       by racing tests; use TestTmpPath() from
+//                       tests/test_tmpdir.h (a per-process mkdtemp dir)
 //
 // Waivers: a finding is suppressed by a comment on the same line or the
 // line immediately above:
@@ -107,7 +112,8 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
 const std::set<std::string>& KnownRules() {
   static const std::set<std::string> kRules = {
       "unchecked-status", "include-layering", "failpoint-registry",
-      "raw-concurrency", "banned-functions", "raw-intrinsics"};
+      "raw-concurrency", "banned-functions", "raw-intrinsics",
+      "test-fixed-tmp-path"};
   return kRules;
 }
 
@@ -657,6 +663,26 @@ void CheckRawIntrinsics(const SourceFile& f,
 }
 
 // ---------------------------------------------------------------------------
+// Rule: test-fixed-tmp-path.
+
+// Matched on the blanked code line, where a literal keeps its quotes.
+const std::regex kFixedTmpPathRe(R"(\bTempDir\s*\(\s*\)\s*\+\s*")");
+
+void CheckTestFixedTmpPath(const SourceFile& f,
+                           std::vector<Finding>* findings) {
+  if (f.rel_path.rfind("tests/", 0) != 0) return;
+  if (f.rel_path == "tests/test_tmpdir.h") return;  // builds the mkdtemp dir
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    if (std::regex_search(f.code[i], kFixedTmpPathRe)) {
+      Report(f, i, "test-fixed-tmp-path",
+             "fixed scratch path under TempDir() is shared by concurrently "
+             "running tests; use TestTmpPath() from tests/test_tmpdir.h",
+             findings);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Driver.
 
 struct Options {
@@ -793,6 +819,9 @@ int main(int argc, char** argv) {
   }
   if (enabled("raw-intrinsics")) {
     for (const auto& f : files) CheckRawIntrinsics(f, &findings);
+  }
+  if (enabled("test-fixed-tmp-path")) {
+    for (const auto& f : files) CheckTestFixedTmpPath(f, &findings);
   }
 
   std::sort(findings.begin(), findings.end(),

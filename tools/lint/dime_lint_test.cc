@@ -50,7 +50,8 @@ TEST(DimeLintCli, ListRulesPrintsEveryRule) {
   EXPECT_EQ(r.exit_code, 0);
   for (const char* rule :
        {"unchecked-status", "include-layering", "failpoint-registry",
-        "raw-concurrency", "banned-functions", "raw-intrinsics"}) {
+        "raw-concurrency", "banned-functions", "raw-intrinsics",
+        "test-fixed-tmp-path"}) {
     EXPECT_TRUE(Contains(r.output, rule)) << "missing rule: " << rule;
   }
 }
@@ -151,6 +152,24 @@ TEST(RawIntrinsics, FlagsIncludesAndProbesOutsideTheSimSeam) {
 
 TEST(RawIntrinsics, CleanOnSimKernelsDispatchTuAndWaivedShim) {
   LintResult r = RunLint("raw_intrinsics_clean", "raw-intrinsics");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_TRUE(Contains(r.output, "clean")) << r.output;
+}
+
+TEST(TestFixedTmpPath, FlagsLiteralNamesUnderTempDirInTestsOnly) {
+  LintResult r = RunLint("test_fixed_tmp_path_firing", "test-fixed-tmp-path");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_TRUE(Contains(r.output, "tests/snapshot_like_test.cc:8")) << r.output;
+  EXPECT_TRUE(Contains(r.output, "tests/snapshot_like_test.cc:12"))
+      << r.output;
+  // Library code may use TempDir() however it likes; the rule is about
+  // concurrently running test processes.
+  EXPECT_FALSE(Contains(r.output, "src/")) << r.output;
+  EXPECT_TRUE(Contains(r.output, "2 findings")) << r.output;
+}
+
+TEST(TestFixedTmpPath, CleanOnPerProcessPathsAndTheHelperItself) {
+  LintResult r = RunLint("test_fixed_tmp_path_clean", "test-fixed-tmp-path");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_TRUE(Contains(r.output, "clean")) << r.output;
 }
