@@ -1,6 +1,7 @@
 #include "src/core/dime_plus.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "src/common/check.h"
@@ -91,14 +92,28 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
   result.stats.candidate_pairs = candidate_volume;
 
   // Candidate verification re-checks the control every kCheckStride
-  // verifications — cheap against the cost of a rule evaluation.
+  // candidates — cheap against the cost of a rule evaluation. Candidates
+  // dropped in bulk advance the countdown by their number, so every
+  // control check lands where the one-by-one loop would have put it.
   constexpr size_t kCheckStride = 256;
   size_t until_check = kCheckStride;
-  auto control_hit = [&]() -> Status {
-    if (--until_check > 0) return OkStatus();
-    until_check = kCheckStride;
-    return internal::CheckRunControl(control, "dime_plus/verify-candidates");
+  auto control_hits = [&](size_t count) -> Status {
+    while (count >= until_check) {
+      count -= until_check;
+      until_check = kCheckStride;
+      Status st =
+          internal::CheckRunControl(control, "dime_plus/verify-candidates");
+      if (!st.ok()) return st;
+    }
+    until_check -= count;
+    return OkStatus();
   };
+
+  std::vector<RulePlan> plans;
+  plans.reserve(positive.size());
+  for (const PositiveRule& rule : positive) {
+    plans.push_back(BuildRulePlan(pg, rule.predicates, Direction::kGe));
+  }
 
   // Two verification strategies, same result:
   //  * small candidate sets: materialize every candidate with its exact
@@ -110,37 +125,94 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
   //    transitivity skip handles the flood in O(1) per pair.
   if (options.benefit_order && candidate_volume <= options.exact_benefit_cap) {
     std::vector<PositiveCandidate> candidates;
+    candidates.reserve(candidate_volume);  // an upper bound, <= the cap
     for (size_t r = 0; r < positive.size(); ++r) {
       const InvertedIndex& index = index_for(r);
       for (const InvertedIndex::CandidatePair& cp : index.CandidatePairs()) {
         double prob =
             SimilarProbability(cp.shared, index.SignatureCount(cp.e1),
                                index.SignatureCount(cp.e2));
-        double cost =
-            RuleVerificationCost(pg, positive[r].predicates, cp.e1, cp.e2);
+        double cost = RuleVerificationCost(plans[r], cp.e1, cp.e2);
         candidates.push_back(PositiveCandidate{PositiveBenefit(prob, cost),
                                                static_cast<int>(r), cp.e1,
                                                cp.e2});
       }
     }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const PositiveCandidate& a, const PositiveCandidate& b) {
-                if (a.benefit != b.benefit) return a.benefit > b.benefit;
-                if (a.e1 != b.e1) return a.e1 < b.e1;
-                if (a.e2 != b.e2) return a.e2 < b.e2;
-                return a.rule < b.rule;
-              });
-    for (const PositiveCandidate& c : candidates) {
-      Status st = control_hit();
-      if (!st.ok()) return truncate_before_partitions(std::move(st));
-      if (options.transitivity_skip && uf.Connected(c.e1, c.e2)) {
-        ++result.stats.pairs_skipped_by_transitivity;
-        continue;
+    // Exact benefit order without sorting everything: take the order's
+    // next block (every candidate at or above a threshold benefit, ties
+    // included, so the block is a prefix of the total order; about
+    // `block` of them), sort and verify it alone, then drop each remaining
+    // candidate whose endpoints are now connected. Connectivity only
+    // grows, so a dropped candidate would have been skipped by
+    // transitivity when reached; the verified sequence and every counter
+    // match the full sort. Most candidates of a group fall inside its
+    // final partitions and are dropped after the first block or two,
+    // unsorted.
+    constexpr size_t kFirstBlock = 1024;
+    constexpr size_t kSampleSize = 4096;
+    size_t block = kFirstBlock;
+    size_t rest = 0;  // candidates[rest..] are not yet verified
+    std::vector<double> benefits;
+    std::vector<int> root;
+    while (rest < candidates.size()) {
+      const auto first = candidates.begin() + static_cast<std::ptrdiff_t>(rest);
+      auto block_end = candidates.end();
+      const size_t remaining = candidates.size() - rest;
+      if (remaining > block) {
+        // Threshold = the block-th highest benefit, estimated from a
+        // strided sample: any threshold cuts a prefix of the order, so
+        // the estimate only sets how large the block comes out.
+        const size_t stride = remaining / kSampleSize + 1;
+        benefits.clear();
+        for (size_t i = rest; i < candidates.size(); i += stride) {
+          benefits.push_back(candidates[i].benefit);
+        }
+        const size_t k = block / stride;
+        std::nth_element(benefits.begin(),
+                         benefits.begin() + static_cast<std::ptrdiff_t>(k),
+                         benefits.end(), std::greater<double>());
+        const double threshold = benefits[k];
+        block_end = std::partition(first, candidates.end(),
+                                   [threshold](const PositiveCandidate& c) {
+                                     return c.benefit >= threshold;
+                                   });
       }
-      ++result.stats.positive_pair_checks;
-      if (EvalPositiveRule(pg, positive[c.rule], c.e1, c.e2)) {
-        uf.Union(c.e1, c.e2);
+      std::sort(first, block_end,
+                [](const PositiveCandidate& a, const PositiveCandidate& b) {
+                  if (a.benefit != b.benefit) return a.benefit > b.benefit;
+                  if (a.e1 != b.e1) return a.e1 < b.e1;
+                  if (a.e2 != b.e2) return a.e2 < b.e2;
+                  return a.rule < b.rule;
+                });
+      bool merged = false;
+      for (auto it = first; it != block_end; ++it) {
+        const PositiveCandidate& c = *it;
+        Status st = control_hits(1);
+        if (!st.ok()) return truncate_before_partitions(std::move(st));
+        if (options.transitivity_skip && uf.Connected(c.e1, c.e2)) {
+          ++result.stats.pairs_skipped_by_transitivity;
+          continue;
+        }
+        ++result.stats.positive_pair_checks;
+        if (EvalRulePlan(plans[c.rule], c.e1, c.e2)) {
+          merged |= uf.Union(c.e1, c.e2);
+        }
       }
+      rest = static_cast<size_t>(block_end - candidates.begin());
+      if (options.transitivity_skip && merged) {
+        root.resize(static_cast<size_t>(n));
+        for (int e = 0; e < n; ++e) root[e] = uf.Find(e);
+        const auto kept = std::remove_if(
+            block_end, candidates.end(), [&root](const PositiveCandidate& c) {
+              return root[c.e1] == root[c.e2];
+            });
+        const size_t dropped = static_cast<size_t>(candidates.end() - kept);
+        candidates.erase(kept, candidates.end());
+        result.stats.pairs_skipped_by_transitivity += dropped;
+        Status st = control_hits(dropped);
+        if (!st.ok()) return truncate_before_partitions(std::move(st));
+      }
+      block *= 2;
     }
   } else {
     Status stream_status;
@@ -172,14 +244,14 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
                 int e1 = list[i], e2 = list[j];
                 if (e1 == e2) continue;
                 if (e1 > e2) std::swap(e1, e2);
-                stream_status = control_hit();
+                stream_status = control_hits(1);
                 if (!stream_status.ok()) return false;
                 if (options.transitivity_skip && uf.Connected(e1, e2)) {
                   ++result.stats.pairs_skipped_by_transitivity;
                   continue;
                 }
                 ++result.stats.positive_pair_checks;
-                if (EvalPositiveRule(pg, positive[r], e1, e2)) {
+                if (EvalRulePlan(plans[r], e1, e2)) {
                   uf.Union(e1, e2);
                 }
               }
@@ -229,7 +301,7 @@ DimeResult RunDimePlus(const PreparedGroup& pg,
         break;
       }
       first_flagging[p] = internal::FlagPartitionAgainstPivot(
-          pg, negative, artifacts, options.benefit_order, pivot_entities,
+          negative, artifacts, options.benefit_order, pivot_entities,
           result.partitions[p], rule_context, &scratch, &nstats);
     }
     result.stats.negative_pair_checks += nstats.negative_pair_checks;

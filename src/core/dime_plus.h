@@ -12,7 +12,15 @@
 ///
 ///  * positive rules: only pairs sharing an indexed rule signature are
 ///    candidates; candidates are verified in descending benefit order
-///    B = P / C, and pairs already connected by transitivity are skipped;
+///    B = P / C, and pairs already connected by transitivity are skipped.
+///    The order is selected lazily, one block at a time (the highest
+///    benefits plus their ties, sorted alone), and after each block every
+///    remaining candidate whose endpoints are now connected is dropped
+///    unsorted: connectivity only grows, so it would have been skipped
+///    when reached. Each dropped candidate still counts as a transitivity
+///    skip and advances the RunControl countdown, so the verified
+///    sequence, every counter and the control-check points are those of
+///    a full sort;
 ///  * negative rules: a partition whose signature set is disjoint from the
 ///    pivot's is flagged without any verification; otherwise each member's
 ///    pivot checks run most-likely-similar-first (descending P / C), so
@@ -27,7 +35,8 @@ struct DimePlusOptions {
   /// Disable the union-find transitivity short-circuit (ablation).
   bool transitivity_skip = true;
   /// Candidate-volume bound up to which positive-rule candidates are
-  /// materialized and verified in exact benefit order; above it they are
+  /// materialized (shared counts from InvertedIndex::CandidatePairs, one
+  /// benefit each) and verified in exact benefit order; above it they are
   /// streamed off the inverted lists shortest-list-first (same result,
   /// no materialization cost — important when one signature, e.g. a page
   /// owner's name, occurs in every entity).

@@ -35,11 +35,14 @@ PivotSigMap::PosRun PivotSigMap::Find(uint64_t s) const {
   return run;
 }
 
-void EnsureNegativeGenerator(const PreparedGroup& pg,
+void InitNegativeRuleContext(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
                              const PreparedRuleArtifacts* artifacts,
                              const SignatureOptions& sig_options,
                              NegativeRuleContext* ctx) {
+  if (ctx->plan.empty()) {
+    ctx->plan = BuildRulePlan(pg, rule.predicates, Direction::kLe);
+  }
   if (artifacts != nullptr || ctx->gen != nullptr) return;
   ctx->gen = std::make_unique<SignatureGenerator>(
       pg, rule.predicates, Direction::kLe,
@@ -70,7 +73,7 @@ void BuildNegativeRuleContext(const PreparedGroup& pg,
                               SignatureScratch* scratch,
                               NegativeRuleContext* ctx) {
   if (ctx->ready) return;
-  EnsureNegativeGenerator(pg, rule, r, artifacts, sig_options, ctx);
+  InitNegativeRuleContext(pg, rule, r, artifacts, sig_options, ctx);
   if (artifacts == nullptr) {
     ctx->pivot_sigs_owned.resize(pivot_entities.size());
   }

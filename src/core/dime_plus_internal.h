@@ -66,6 +66,9 @@ class PivotSigMap {
 
 /// Read-only per-negative-rule state shared by every partition scan.
 struct NegativeRuleContext {
+  /// The rule resolved against the group (kLe), for verification and
+  /// cost estimates alike.
+  RulePlan plan;
   /// Generator for the on-demand path (null when artifacts supply the
   /// signature columns). Const methods only after construction, so tasks
   /// may share it with private scratches.
@@ -76,9 +79,10 @@ struct NegativeRuleContext {
   bool ready = false;
 };
 
-/// Creates the generator for rule `r` when `artifacts` is null (the
-/// artifact path reads spans straight from the columns). Idempotent.
-void EnsureNegativeGenerator(const PreparedGroup& pg,
+/// Builds the rule plan and, when `artifacts` is null, the signature
+/// generator for rule `r` (the artifact path reads spans straight from
+/// the columns). Idempotent.
+void InitNegativeRuleContext(const PreparedGroup& pg,
                              const NegativeRule& rule, size_t r,
                              const PreparedRuleArtifacts* artifacts,
                              const SignatureOptions& sig_options,
@@ -138,8 +142,7 @@ struct NegativePhaseStats {
 /// decision, verification order and counts to the historical inline code
 /// of RunDimePlus step 3.
 template <typename RuleContextFn>
-int FlagPartitionAgainstPivot(const PreparedGroup& pg,
-                              const std::vector<NegativeRule>& negative,
+int FlagPartitionAgainstPivot(const std::vector<NegativeRule>& negative,
                               const PreparedRuleArtifacts* artifacts,
                               bool benefit_order,
                               const std::vector<int>& pivot_entities,

@@ -16,8 +16,7 @@ namespace dime {
 namespace internal {
 
 template <typename RuleContextFn>
-int FlagPartitionAgainstPivot(const PreparedGroup& pg,
-                              const std::vector<NegativeRule>& negative,
+int FlagPartitionAgainstPivot(const std::vector<NegativeRule>& negative,
                               const PreparedRuleArtifacts* artifacts,
                               bool benefit_order,
                               const std::vector<int>& pivot_entities,
@@ -112,8 +111,8 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
           double prob = SimilarProbability(shared_with_pivot[i],
                                            member_sigs[m].size(),
                                            ctx.pivot_sigs[i].size());
-          double cost = RuleVerificationCost(
-              pg, negative[r].predicates, members[m], pivot_entities[i]);
+          double cost =
+              RuleVerificationCost(ctx.plan, members[m], pivot_entities[i]);
           cands.push_back(NegativeCandidate{PositiveBenefit(prob, cost),
                                             members[m], pivot_entities[i]});
         }
@@ -126,7 +125,7 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
                   });
         for (const NegativeCandidate& c : cands) {
           ++stats->negative_pair_checks;
-          if (!EvalNegativeRule(pg, negative[r], c.e, c.e_star)) {
+          if (!EvalRulePlan(ctx.plan, c.e, c.e_star)) {
             all_dissimilar = false;
             break;
           }
@@ -135,8 +134,7 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
           for (size_t i = 0; i < pivot_entities.size(); ++i) {
             if (shared_with_pivot[i] != 0) continue;  // verified above
             ++stats->negative_pair_checks;
-            if (!EvalNegativeRule(pg, negative[r], members[m],
-                                  pivot_entities[i])) {
+            if (!EvalRulePlan(ctx.plan, members[m], pivot_entities[i])) {
               all_dissimilar = false;
               break;
             }
@@ -147,8 +145,7 @@ int FlagPartitionAgainstPivot(const PreparedGroup& pg,
         // pivot order; scan it directly.
         for (size_t i = 0; i < pivot_entities.size(); ++i) {
           ++stats->negative_pair_checks;
-          if (!EvalNegativeRule(pg, negative[r], members[m],
-                                pivot_entities[i])) {
+          if (!EvalRulePlan(ctx.plan, members[m], pivot_entities[i])) {
             all_dissimilar = false;
             break;
           }

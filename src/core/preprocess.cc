@@ -479,27 +479,29 @@ bool PlanPredicateHolds(const PredicatePlan& p, int e1, int e2) {
   return false;  // unreachable: all kinds handled above
 }
 
-double RuleVerificationCost(const PreparedGroup& pg,
-                            const std::vector<Predicate>& predicates, int e1,
-                            int e2) {
+double RuleVerificationCost(const RulePlan& plan, int e1, int e2) {
   double cost = 0.0;
-  for (const Predicate& p : predicates) {
-    const PreparedAttr& attr = pg.attrs[p.attr];
-    if (IsSetBased(p.func) || IsWeightedSetBased(p.func)) {
-      const RankColumn& ranks =
-          p.mode == TokenMode::kValueList ? attr.value_ranks : attr.word_ranks;
-      cost += static_cast<double>(ranks.size(e1) + ranks.size(e2));
-    } else if (p.func == SimFunc::kEditSim) {
-      size_t min_len = std::min(attr.text[e1].size(), attr.text[e2].size());
-      size_t band = MaxEditDistanceForSim(
-          std::max(attr.text[e1].size(), attr.text[e2].size()), p.threshold);
-      cost += static_cast<double>(std::max<size_t>(1, band) * min_len);
-    } else {  // ontology
-      const auto it = attr.nodes.find(p.ontology_index);
-      const Ontology& tree = *pg.context.ontologies[p.ontology_index].tree;
-      int d1 = it->second[e1] == kNoNode ? 1 : tree.Depth(it->second[e1]);
-      int d2 = it->second[e2] == kNoNode ? 1 : tree.Depth(it->second[e2]);
-      cost += static_cast<double>(d1 + d2);
+  for (const PredicatePlan& p : plan) {
+    switch (p.kind) {
+      case PredicatePlan::Kind::kSet:
+      case PredicatePlan::Kind::kWeighted:
+        cost += static_cast<double>(p.ranks->size(e1) + p.ranks->size(e2));
+        break;
+      case PredicatePlan::Kind::kEditSim: {
+        const size_t len1 = p.text[e1].size(), len2 = p.text[e2].size();
+        const size_t band =
+            MaxEditDistanceForSim(std::max(len1, len2), p.threshold);
+        cost += static_cast<double>(std::max<size_t>(1, band) *
+                                    std::min(len1, len2));
+        break;
+      }
+      case PredicatePlan::Kind::kOntology: {
+        const int n1 = p.nodes[e1], n2 = p.nodes[e2];
+        const int d1 = n1 == kNoNode ? 1 : p.tree->Depth(n1);
+        const int d2 = n2 == kNoNode ? 1 : p.tree->Depth(n2);
+        cost += static_cast<double>(d1 + d2);
+        break;
+      }
     }
   }
   return std::max(cost, 1.0);

@@ -306,10 +306,9 @@ inline bool EvalRulePlan(const RulePlan& plan, int e1, int e2) {
 
 /// Estimated verification cost C(e1, e2) of a rule, per Section IV-C:
 /// O(|a|+|b|) for set functions, O(theta * min) for edit similarity,
-/// O(depth_a + depth_b) for ontology similarity.
-double RuleVerificationCost(const PreparedGroup& pg,
-                            const std::vector<Predicate>& predicates, int e1,
-                            int e2);
+/// O(depth_a + depth_b) for ontology similarity. The plan's direction
+/// does not enter the estimate.
+double RuleVerificationCost(const RulePlan& plan, int e1, int e2);
 
 }  // namespace dime
 

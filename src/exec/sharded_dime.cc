@@ -238,6 +238,12 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
   }
 
   // ---- Step 1b: volume-balanced candidate verification. ------------------
+  std::vector<RulePlan> positive_plans;
+  positive_plans.reserve(positive.size());
+  for (const PositiveRule& rule : positive) {
+    positive_plans.push_back(
+        BuildRulePlan(pg, rule.predicates, Direction::kGe));
+  }
   StripedUnionFind uf(static_cast<size_t>(n));
   std::atomic<size_t> pos_checks{0};
   std::atomic<size_t> trans_skips{0};
@@ -299,9 +305,9 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
     size_t batch_begin = 0, batch_volume = 0;
     auto spawn_batch = [&](size_t batch_end) {
       if (batch_end == batch_begin) return;
-      verify_group.Spawn([&pg, &positive, &plus, &uf, &control, &verify_group,
-                          &balanced, &pos_checks, &trans_skips, &kernel_exits,
-                          batch_begin, batch_end] {
+      verify_group.Spawn([&positive_plans, &plus, &uf, &control,
+                          &verify_group, &balanced, &pos_checks, &trans_skips,
+                          &kernel_exits, batch_begin, batch_end] {
         if (DIME_FAULT_POINT(failpoints::kParallelWorkerFault)) {
           throw std::runtime_error("injected worker fault (step 1)");
         }
@@ -354,7 +360,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
                 continue;
               }
               ++local_checks;
-              if (EvalPositiveRule(pg, positive[s.rule], e1, e2)) {
+              if (EvalRulePlan(positive_plans[s.rule], e1, e2)) {
                 uf.Union(e1, e2);
               }
             }
@@ -403,7 +409,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       const size_t chunk = ChunkSize(pivot_entities.size(), threads, 256);
       for (size_t r = 0; r < negative.size(); ++r) {
         internal::NegativeRuleContext& ctx = contexts[r];
-        internal::EnsureNegativeGenerator(pg, negative[r], r, artifacts,
+        internal::InitNegativeRuleContext(pg, negative[r], r, artifacts,
                                           plus.signatures, &ctx);
         if (artifacts == nullptr) {
           ctx.pivot_sigs_owned.resize(pivot_entities.size());
@@ -463,7 +469,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
       TaskGroup flag_group(pool);
       for (size_t p = 0; p < result.partitions.size(); ++p) {
         if (static_cast<int>(p) == result.pivot) continue;
-        flag_group.Spawn([&pg, &negative, &plus, &result, &control,
+        flag_group.Spawn([&negative, &plus, &result, &control,
                           &flag_group, &pivot_entities, &first_flagging,
                           &rule_context, &scratches, &neg_checks, &pruned,
                           &kernel_exits, artifacts, p] {
@@ -480,7 +486,7 @@ DimeResult RunDimePlusShardedInner(const PreparedGroup& pg,
           internal::NegativeScratch* scratch = scratches.Acquire();
           internal::NegativePhaseStats local;
           first_flagging[p] = internal::FlagPartitionAgainstPivot(
-              pg, negative, artifacts, plus.benefit_order, pivot_entities,
+              negative, artifacts, plus.benefit_order, pivot_entities,
               result.partitions[p], rule_context, scratch, &local);
           scratches.Release(scratch);
           neg_checks.fetch_add(local.negative_pair_checks,

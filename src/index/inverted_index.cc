@@ -1,6 +1,8 @@
 #include "src/index/inverted_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/sim/rank_span.h"
@@ -117,33 +119,82 @@ std::vector<InvertedIndex::CandidatePair> InvertedIndex::CandidatePairs()
   EnsureFrozen();
   const uint64_t* starts = frozen_starts();
   const int* ents = frozen_entities();
-  // Materialize every co-occurrence as an (e1 << 32 | e2) key, then sort
-  // and run-length encode: the keys come out grouped per pair and ordered
-  // by (e1, e2) in one shot.
-  std::vector<uint64_t> keys;
-  for (uint32_t l : EnumerationOrder(/*short_lists_first=*/false)) {
-    const size_t begin = starts[l], end = starts[l + 1];
-    for (size_t i = begin; i < end; ++i) {
-      for (size_t j = i + 1; j < end; ++j) {
-        int a = ents[i], b = ents[j];
-        if (a == b) continue;
-        if (a > b) std::swap(a, b);
-        keys.push_back((static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-                       static_cast<uint32_t>(b));
+  const size_t num = frozen_num_lists();
+  // A pair's shared count is the number of (occurrence of e1, occurrence
+  // of e2) pairs on a common list, so it can be counted from e1's side:
+  // walk e1's occurrences and bump a dense per-e2 counter for every
+  // larger entity on the same list. Lists are copied sorted (Add() order
+  // is free, and a borrowed arena may hold any order), so the larger
+  // entities of a list are exactly the tail after e1's occurrence, and
+  // the entity -> occurrence transpose lets e1 ascend — the output comes
+  // out ordered by e1 with no global sort of the co-occurrences.
+  std::vector<int> sorted;
+  int max_entity = -1;
+  for (size_t l = 0; l < num; ++l) {
+    if (starts[l + 1] - starts[l] < 2) continue;  // no pair on this list
+    const size_t begin = sorted.size();
+    sorted.insert(sorted.end(), ents + starts[l], ents + starts[l + 1]);
+    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(begin),
+              sorted.end());
+    max_entity = std::max(max_entity, sorted.back());
+  }
+  if (max_entity < 0) return {};
+  DIME_CHECK_LE(sorted.size(), size_t{UINT32_MAX});
+
+  // occurrences[occ_start[e] .. occ_start[e + 1]) = {position of the
+  // occurrence in `sorted`, end of its list}, for every occurrence of e.
+  struct Occurrence {
+    uint32_t pos;
+    uint32_t end;
+  };
+  const size_t num_entities = static_cast<size_t>(max_entity) + 1;
+  std::vector<uint32_t> occ_start(num_entities + 1, 0);
+  for (int e : sorted) ++occ_start[static_cast<size_t>(e) + 1];
+  for (size_t e = 0; e < num_entities; ++e) occ_start[e + 1] += occ_start[e];
+  std::vector<Occurrence> occurrences(sorted.size());
+  {
+    std::vector<uint32_t> fill(occ_start.begin(), occ_start.end() - 1);
+    size_t list_begin = 0;
+    for (size_t l = 0; l < num; ++l) {
+      const size_t len = static_cast<size_t>(starts[l + 1] - starts[l]);
+      if (len < 2) continue;
+      const uint32_t list_end = static_cast<uint32_t>(list_begin + len);
+      for (size_t i = list_begin; i < list_end; ++i) {
+        occurrences[fill[static_cast<size_t>(sorted[i])]++] =
+            Occurrence{static_cast<uint32_t>(i), list_end};
       }
+      list_begin = list_end;
     }
   }
-  std::sort(keys.begin(), keys.end());
+
   std::vector<CandidatePair> pairs;
-  for (size_t i = 0; i < keys.size();) {
-    size_t j = i;
-    while (j < keys.size() && keys[j] == keys[i]) ++j;
-    CandidatePair p;
-    p.e1 = static_cast<int>(keys[i] >> 32);
-    p.e2 = static_cast<int>(keys[i] & 0xFFFFFFFFULL);
-    p.shared = static_cast<uint32_t>(j - i);
-    pairs.push_back(p);
-    i = j;
+  std::vector<uint32_t> shared(num_entities, 0);
+  std::vector<int> touched;
+  for (size_t e1 = 0; e1 < num_entities; ++e1) {
+    const int a = static_cast<int>(e1);
+    for (uint32_t o = occ_start[e1]; o < occ_start[e1 + 1]; ++o) {
+      for (uint32_t i = occurrences[o].pos + 1; i < occurrences[o].end; ++i) {
+        const int b = sorted[i];
+        if (b == a) continue;  // a repeated signature of e1 itself
+        if (shared[static_cast<size_t>(b)]++ == 0) touched.push_back(b);
+      }
+    }
+    if (touched.empty()) continue;
+    // Emit in ascending e2: scan the counter densely when most of the
+    // remaining id range was touched, else sort the touched ids.
+    auto emit = [&](int b) {
+      pairs.push_back(
+          CandidatePair{a, b, std::exchange(shared[static_cast<size_t>(b)], 0)});
+    };
+    if (touched.size() * 8 >= num_entities - e1) {
+      for (size_t b = e1 + 1; b < num_entities; ++b) {
+        if (shared[b] != 0) emit(static_cast<int>(b));
+      }
+    } else {
+      std::sort(touched.begin(), touched.end());
+      for (int b : touched) emit(b);
+    }
+    touched.clear();
   }
   return pairs;
 }

@@ -37,8 +37,13 @@ class InvertedIndex {
   void Add(int entity, const std::vector<uint64_t>& sigs);
 
   /// Enumerates candidate pairs (e1 < e2) and their shared-signature
-  /// counts, ordered by (e1, e2). Quadratic in the longest list, which is
-  /// what the signature schemes keep short.
+  /// counts, ordered by (e1, e2); a signature repeated within an entity
+  /// counts once per copy. Counted per e1 in a dense counter over an
+  /// entity -> occurrence transpose, so the cost is the co-occurrence
+  /// volume (quadratic in the longest list, which is what the signature
+  /// schemes keep short) plus one sort per list, with no sort of the
+  /// co-occurrences themselves. Any Add() order, and borrowed lists in any
+  /// order, give the same output.
   struct CandidatePair {
     int e1;
     int e2;

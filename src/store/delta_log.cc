@@ -361,7 +361,7 @@ StatusOr<DeltaLogContents> ReadDeltaLog(const std::string& path) {
       break;
     }
     const char* payload = bytes->data() + pos + 8;
-    uint32_t actual = Crc32(payload, length);
+    uint32_t actual = Crc32(payload, static_cast<size_t>(length));
     if (DIME_FAULT_POINT(failpoints::kStoreDeltaCorrupt)) actual = ~actual;
     if (actual != crc) {
       return DataLossError("delta log " + path + ": record " +

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/core/dime_plus.h"
 #include "src/datagen/amazon_gen.h"
 #include "src/datagen/presets.h"
@@ -112,6 +113,117 @@ TEST(GoldenEqualityTest, AmazonFig6Corpora) {
     }
     ++ei;
   }
+}
+
+/// Counter pins for the exact-benefit positive path: every fig6 group has
+/// a candidate volume under DimePlusOptions::exact_benefit_cap, so these
+/// runs verify candidates in materialized benefit order (the bench-scale
+/// pins below cover the streaming path). Captured from the full-sort
+/// implementation; a faster selection of the same order must reproduce
+/// every counter exactly.
+struct ExactPathPins {
+  uint64_t candidate_pairs;
+  uint64_t positive_pair_checks;
+  uint64_t pairs_skipped_by_transitivity;
+  uint64_t negative_pair_checks;
+};
+
+void ExpectExactPathPins(const DimeResult& plus, const ExactPathPins& pins) {
+  EXPECT_LE(plus.stats.candidate_pairs, DimePlusOptions().exact_benefit_cap);
+  EXPECT_EQ(plus.stats.candidate_pairs, pins.candidate_pairs);
+  EXPECT_EQ(plus.stats.positive_pair_checks, pins.positive_pair_checks);
+  EXPECT_EQ(plus.stats.pairs_skipped_by_transitivity,
+            pins.pairs_skipped_by_transitivity);
+  EXPECT_EQ(plus.stats.negative_pair_checks, pins.negative_pair_checks);
+}
+
+TEST(GoldenEqualityTest, ScholarFig6ExactPathCounters) {
+  const ExactPathPins kPins[] = {
+      {20102, 131, 9193, 379},
+      {19554, 132, 8885, 497},
+      {18342, 133, 8913, 379},
+  };
+  ScholarSetup setup = MakeScholarSetup();
+  ScholarGenOptions gen;
+  gen.num_correct = 120;
+  for (uint64_t i = 0; i < 3; ++i) {
+    gen.seed = 100 + i;
+    SCOPED_TRACE("seed " + std::to_string(gen.seed));
+    Group group = GenerateScholarGroup("Scholar " + std::to_string(i), gen);
+    PreparedGroup pg =
+        PrepareGroup(group, setup.positive, setup.negative, setup.context);
+    ExpectExactPathPins(RunDimePlus(pg, setup.positive, setup.negative),
+                        kPins[i]);
+  }
+}
+
+TEST(GoldenEqualityTest, AmazonFig6ExactPathCounters) {
+  // error_rate x group index, same corpora as AmazonFig6Corpora.
+  const ExactPathPins kPins[2][2] = {
+      {{982, 154, 513, 79}, {1010, 226, 471, 3}},   // e = 0.1
+      {{977, 198, 442, 92}, {1020, 78, 617, 17}},   // e = 0.4
+  };
+  AmazonGenOptions gen;
+  gen.num_correct = 80;
+  int ei = 0;
+  for (double e : {0.1, 0.4}) {
+    gen.error_rate = e;
+    std::vector<Group> groups;
+    for (int c : {0, 6}) {
+      gen.seed = 40 + c;
+      groups.push_back(GenerateAmazonGroup(c, gen));
+    }
+    AmazonSetup setup = MakeAmazonSetup(groups);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      SCOPED_TRACE("e=" + std::to_string(e) + " group=" + std::to_string(g));
+      PreparedGroup pg = PrepareGroup(groups[g], setup.positive,
+                                      setup.negative, setup.context);
+      ExpectExactPathPins(RunDimePlus(pg, setup.positive, setup.negative),
+                          kPins[ei][g]);
+    }
+    ++ei;
+  }
+}
+
+/// Where the engine/deadline failpoint lands on the exact path: every
+/// candidate, verified or skipped, advances the RunControl countdown, so
+/// the number of control checks a run makes is a function of the
+/// candidate volume alone. Pins the smallest failpoint skip at which the
+/// run completes (= the run's total control checks) and the smallest at
+/// which the positive phase survives (truncation moves from "no
+/// partitions" to "partitions kept, negative phase cut short").
+TEST(GoldenEqualityTest, ScholarExactPathDeadlineCheckpoints) {
+  constexpr int kFirstSkipPastPositivePhase = 38;
+  constexpr int kFirstCompletingSkip = 44;
+  ScholarSetup setup = MakeScholarSetup();
+  ScholarGenOptions gen;
+  gen.num_correct = 120;
+  gen.seed = 100;
+  Group group = GenerateScholarGroup("Scholar 0", gen);
+  PreparedGroup pg =
+      PrepareGroup(group, setup.positive, setup.negative, setup.context);
+  const DimeResult full = RunDimePlus(pg, setup.positive, setup.negative);
+  int first_past_positive = -1;
+  int first_complete = -1;
+  for (int skip = 0; skip < 10000 && first_complete < 0; ++skip) {
+    DimeResult r;
+    {
+      ScopedFailpoint fp(failpoints::kEngineDeadline, /*count=*/1, skip);
+      r = RunDimePlus(pg, setup.positive, setup.negative);
+    }
+    if (r.status.ok()) {
+      first_complete = skip;
+      EXPECT_EQ(DigestResult(r), DigestResult(full));
+      break;
+    }
+    EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded);
+    if (!r.partitions.empty() && first_past_positive < 0) {
+      first_past_positive = skip;
+      EXPECT_EQ(r.partitions, full.partitions);
+    }
+  }
+  EXPECT_EQ(first_past_positive, kFirstSkipPastPositivePhase);
+  EXPECT_EQ(first_complete, kFirstCompletingSkip);
 }
 
 /// Absolute expectations for one bench-scale corpus, captured at the PR

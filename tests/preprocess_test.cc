@@ -261,10 +261,11 @@ TEST(PreprocessTest, VerificationCostIsPositiveAndTracksSizes) {
   std::vector<Predicate> preds{
       Pred(1, SimFunc::kOverlap, TokenMode::kValueList, 1.0)};
   PreparedGroup pg = PrepareGroupForPredicates(g, preds, MakeContext());
-  double c01 = RuleVerificationCost(pg, preds, 0, 1);
+  RulePlan plan = BuildRulePlan(pg, preds, Direction::kGe);
+  double c01 = RuleVerificationCost(plan, 0, 1);
   EXPECT_GE(c01, 1.0);
   // e3 has fewer authors than e1/e2, so pairs with it are cheaper.
-  EXPECT_LT(RuleVerificationCost(pg, preds, 0, 2), c01 + 1.0);
+  EXPECT_LT(RuleVerificationCost(plan, 0, 2), c01 + 1.0);
 }
 
 }  // namespace
